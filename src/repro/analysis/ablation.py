@@ -183,9 +183,9 @@ def _build_runner(spec: AblationSpec) -> DifferentialRunner:
         from repro.devices.amd import amd_mi250x
 
         amd_device = amd_mi250x()
-    runner = DifferentialRunner(nvidia=nvidia_v100(), amd=amd_device)
-    runner.nvcc = _AblatedNvcc(spec)
-    runner.hipcc = _AblatedHipcc(spec)
+    runner = DifferentialRunner(lhs_device=nvidia_v100(), rhs_device=amd_device)
+    runner.lhs_compiler = _AblatedNvcc(spec)
+    runner.rhs_compiler = _AblatedHipcc(spec)
     return runner
 
 

@@ -41,7 +41,7 @@ def adjacency_counts(arm: ArmResult, opt_label: str) -> Matrix:
     for d in arm.discrepancies:
         if d.opt_label != opt_label:
             continue
-        nv, hip = d.nvcc_outcome, d.hipcc_outcome
+        nv, hip = d.lhs_outcome, d.rhs_outcome
         if nv is hip:  # Num vs Num (same class, different value)
             a, b = matrix[(nv, hip)]
             matrix[(nv, hip)] = (a + 1, b + 1)  # paper prints "n, n"

@@ -142,13 +142,11 @@ class SqliteRunStore:
             self.hits += 1
         return tuple(_rebind(e, test_id, opt_label, compiler) for e in entry)
 
-    def view_for(
-        self, test: TestCase, *, consult: bool = True, populate: bool = True
-    ) -> BoundRunCache:
+    def view_for(self, test: TestCase) -> BoundRunCache:
         """A runner-compatible view bound to ``test``'s content id."""
         from repro.exec.content import content_id_for
 
-        return BoundRunCache(self, content_id_for(test), consult, populate)
+        return BoundRunCache(self, content_id_for(test))
 
     def stats(self) -> Dict[str, int]:
         return {

@@ -18,8 +18,9 @@ Future backends (async, distributed) implement the same two methods.
 
 **Telemetry** (active tracer enabled only — the disabled path is the
 original code): the pool backend wraps payloads and the mapped function
-to attribute every chunk's wall time to four phases that tile
-[submit, arrive]:
+to attribute every payload's wall time to four phases that tile
+[submit, arrive].  Each span carries the payload's index as ``group``
+(a payload may hold several chunks) and keeps ``chunk`` at -1:
 
 * ``pool.pickle`` — measuring ``pickle.dumps`` of the payload (a second
   pickle happens inside ``mp.Pool``; the duplication is the accepted
@@ -79,18 +80,18 @@ def _tag_payloads(payloads: Iterable[Any], tracer) -> Iterator[Any]:
         t0 = time.perf_counter_ns()
         size = len(pickle.dumps(payload))
         t1 = time.perf_counter_ns()
-        tracer.record("pool.pickle", t0, t1, chunk=index, payload_bytes=size)
+        tracer.record("pool.pickle", t0, t1, group=index, payload_bytes=size)
         yield index, time.perf_counter_ns(), payload
 
 
 def _traced_results(results: Iterable[Any], tracer) -> Iterator[Any]:
     """Unwrap timed worker results, recording the three phases that
-    complete each chunk's [submit, arrive] interval."""
+    complete each payload's [submit, arrive] interval."""
     for index, submit_ns, start_ns, end_ns, pid, result in results:
         arrive_ns = time.perf_counter_ns()
-        tracer.record("pool.queue_wait", submit_ns, start_ns, chunk=index)
-        tracer.record("pool.execute", start_ns, end_ns, chunk=index, pid=pid)
-        tracer.record("pool.result_wait", end_ns, arrive_ns, chunk=index)
+        tracer.record("pool.queue_wait", submit_ns, start_ns, group=index)
+        tracer.record("pool.execute", start_ns, end_ns, group=index, pid=pid)
+        tracer.record("pool.result_wait", end_ns, arrive_ns, group=index)
         yield result
 
 

@@ -2,18 +2,23 @@
 
 One object owns what the campaign engine, the fuzzer, and the analysis
 harnesses used to hand-roll separately: resolving work units to concrete
-tests, building runners, routing the nvcc side through the content-keyed
-:class:`~repro.exec.store.RunStore`, deduping identical work, dispatching
-chunks to a :mod:`~repro.exec.backends` backend, and aggregating
-hit/miss/execution metrics.
+tests, building runners, routing each pair's left side through the
+content-keyed :class:`~repro.exec.store.RunStore`, deduping identical
+work, dispatching chunks to a :mod:`~repro.exec.backends` backend, and
+aggregating hit/miss/execution metrics.
 
 Guarantees:
 
+* **One dispatch path** — every chunk runs through ``_run_chunk``, in
+  process or in a worker, traced or not; a remote backend receives
+  consecutive chunks grouped into one task.  Results stream back in
+  completion order; :meth:`ExecutionService.run_sweeps` is that stream
+  plus a reorder buffer.
 * **Determinism** — a chunk's outcomes depend only on its requests
   (runner construction, generation, and device execution are all pure
-  functions of the specs), and backends return chunk results in
-  submission order; every caller's output is therefore identical at any
-  worker count.
+  functions of the specs), and every chunk carries its submission
+  index; every caller's output is therefore identical at any worker
+  count.
 * **Colocation is the pairing rule** — requests that must share cache
   entries (a native test and its HIPIFY twin) belong in one chunk;
   chunk-scope stores then behave identically in-process and in a
@@ -26,6 +31,7 @@ Guarantees:
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -40,6 +46,9 @@ from repro.telemetry.spans import SpanRecord, Tracer, get_tracer, set_tracer
 from repro.varity.testcase import TestCase
 
 __all__ = ["ExecutionService", "ExecMetrics"]
+
+#: One finished chunk: ``(index, outcomes, stats, spans)``.
+_ChunkResult = Tuple[int, List[SweepOutcome], Dict[str, float], List[SpanRecord]]
 
 
 @dataclass
@@ -119,8 +128,8 @@ def _rebound_outcome(
     else:
         pairs = {
             label: PairResult(
-                nvcc_runs=[replace(r, test_id=test_id) for r in pair.nvcc_runs],
-                hipcc_runs=[replace(r, test_id=test_id) for r in pair.hipcc_runs],
+                lhs_runs=[replace(r, test_id=test_id) for r in pair.lhs_runs],
+                rhs_runs=[replace(r, test_id=test_id) for r in pair.rhs_runs],
                 discrepancies=[
                     replace(d, test_id=test_id) for d in pair.discrepancies
                 ],
@@ -148,7 +157,7 @@ class _TimedView(BoundRunCache):
     out-of-band — behaviour is the base class's, byte for byte.
     """
 
-    def __init__(self, store, key, phases, *, compiler="nvcc"):
+    def __init__(self, store, key, phases, *, compiler):
         super().__init__(store, key, compiler=compiler)
         self._phases = phases
 
@@ -172,7 +181,7 @@ def _execute_requests(
     shared_store: Optional[RunStore] = None,
     shared_artifacts: Optional[ArtifactCache] = None,
 ) -> Tuple[List[SweepOutcome], Dict[str, float]]:
-    """Run one chunk serially; the core every backend executes.
+    """Run one chunk's requests serially: the body of :func:`_run_chunk`.
 
     ``shared_store`` is the service's own store (in-process execution
     only); chunk-scope requests — and shared-scope ones running in a
@@ -213,14 +222,10 @@ def _execute_requests(
                 if chunk_store is None:
                     chunk_store = RunStore()
                 store = chunk_store
-            # The store caches the pair's *left* side.  Legacy nvcc-lhs
-            # pairs keep the bare content key (pre-registry warm stores
-            # stay hot, and every nvcc-lhs pair replays the same runs);
-            # other left stacks qualify the key so a (hipcc, cpu) pair
-            # can never replay nvcc outcomes as its own.
+            # The store caches the pair's *left* side, keyed by its stack
+            # so a (hipcc, cpu) pair never replays nvcc outcomes as its own.
             lhs = runner.stacks[0]
-            view_key = key if lhs == "nvcc" else f"{lhs}@{key}"
-            view = _TimedView(store, view_key, phases, compiler=lhs)
+            view = _TimedView(store, f"{lhs}@{key}", phases, compiler=lhs)
         artifacts: Optional[ArtifactCache] = None
         if req.cache.artifacts:
             if req.cache.scope == "shared" and shared_artifacts is not None:
@@ -237,7 +242,6 @@ def _execute_requests(
             test,
             req.opts,
             lhs_cache=view,
-            populate_lhs_cache=view,
             artifacts=artifacts,
         )
         t1 = time.perf_counter_ns()
@@ -288,61 +292,47 @@ def _execute_requests(
     return outcomes, stats
 
 
-def _execute_chunk_task(
+def _run_chunk(
+    index: int,
     requests: Sequence[SweepRequest],
-) -> Tuple[List[SweepOutcome], Dict[str, float]]:
-    """Top-level chunk entry point for process-pool workers."""
-    return _execute_requests(requests)
+    traced: bool,
+    store: Optional[RunStore] = None,
+    artifacts: Optional[ArtifactCache] = None,
+) -> _ChunkResult:
+    """Run one chunk; the one entry point every backend executes.
 
-
-def _execute_indexed_chunk_task(
-    payload: Tuple[int, Sequence[SweepRequest]],
-) -> Tuple[int, List[SweepOutcome], Dict[str, float]]:
-    """Chunk entry point for unordered dispatch: the index rides along so
-    completion-order consumers can re-associate results with chunks."""
-    index, requests = payload
-    outcomes, stats = _execute_requests(requests)
-    return index, outcomes, stats
-
-
-def _run_chunk_traced(
-    requests: Sequence[SweepRequest],
-) -> Tuple[List[SweepOutcome], Dict[str, float], List[SpanRecord]]:
-    """Run one chunk under a fresh local tracer; ship its spans back.
-
-    Used only when the parent's tracer is enabled, so the untraced task
-    above stays the zero-overhead path.  The worker records into its
-    own tracer (the parent's is unreachable across the process
-    boundary) and the parent merges the batch by submission-order chunk
-    index — never arrival order — keeping traces deterministic.
+    When ``traced``, the chunk records under a tracer of its own — in
+    process and in a worker alike — and returns its spans for the parent
+    to merge under the submission-order ``index`` (never arrival order,
+    so traces are worker-count-invariant).  Untraced, ``spans`` is empty
+    and no tracer is touched.
     """
+    if not traced:
+        outcomes, stats = _execute_requests(requests, store, artifacts)
+        return index, outcomes, stats, []
     tracer = Tracer()
     previous = set_tracer(tracer)
     try:
         t0 = time.perf_counter_ns()
-        outcomes, stats = _execute_requests(requests)
+        outcomes, stats = _execute_requests(requests, store, artifacts)
         tracer.record(
             "exec.chunk", t0, time.perf_counter_ns(), requests=len(requests)
         )
     finally:
         set_tracer(previous)
-    return outcomes, stats, tracer.drain()
+    return index, outcomes, stats, tracer.drain()
 
 
-def _execute_chunk_task_traced(
-    requests: Sequence[SweepRequest],
-) -> Tuple[List[SweepOutcome], Dict[str, float], List[SpanRecord]]:
-    """Traced twin of :func:`_execute_chunk_task`."""
-    return _run_chunk_traced(requests)
+def _run_group(
+    group: Sequence[Tuple[int, Sequence[SweepRequest]]], traced: bool
+) -> List[_ChunkResult]:
+    """The remote task: consecutive chunks in one pickle/IPC round trip.
 
-
-def _execute_indexed_chunk_task_traced(
-    payload: Tuple[int, Sequence[SweepRequest]],
-) -> Tuple[int, List[SweepOutcome], Dict[str, float], List[SpanRecord]]:
-    """Traced twin of :func:`_execute_indexed_chunk_task`."""
-    index, requests = payload
-    outcomes, stats, records = _run_chunk_traced(requests)
-    return index, outcomes, stats, records
+    Each chunk still runs through :func:`_run_chunk` with its own
+    private store, so results are byte-identical at any group size; only
+    the transport granularity changes.
+    """
+    return [_run_chunk(index, requests, traced) for index, requests in group]
 
 
 def _grouped(chunks: Iterable[Any], size: int) -> Iterator[List[Any]]:
@@ -355,39 +345,6 @@ def _grouped(chunks: Iterable[Any], size: int) -> Iterator[List[Any]]:
             group = []
     if group:
         yield group
-
-
-def _execute_group_task(
-    group: Sequence[Sequence[SweepRequest]],
-) -> List[Tuple[List[SweepOutcome], Dict[str, float]]]:
-    """Several chunks in one pool task (one pickle/IPC round trip).
-
-    Each chunk still runs through :func:`_execute_requests` with its own
-    private store, so results are byte-identical to one-task-per-chunk;
-    only the transport granularity changes.
-    """
-    return [_execute_requests(requests) for requests in group]
-
-
-def _execute_group_task_traced(
-    group: Sequence[Sequence[SweepRequest]],
-) -> List[Tuple[List[SweepOutcome], Dict[str, float], List[SpanRecord]]]:
-    """Traced twin of :func:`_execute_group_task` (per-chunk span batches)."""
-    return [_run_chunk_traced(requests) for requests in group]
-
-
-def _execute_indexed_group_task(
-    group: Sequence[Tuple[int, Sequence[SweepRequest]]],
-) -> List[Tuple[int, List[SweepOutcome], Dict[str, float]]]:
-    """Grouped twin of :func:`_execute_indexed_chunk_task`."""
-    return [_execute_indexed_chunk_task(payload) for payload in group]
-
-
-def _execute_indexed_group_task_traced(
-    group: Sequence[Tuple[int, Sequence[SweepRequest]]],
-) -> List[Tuple[int, List[SweepOutcome], Dict[str, float], List[SpanRecord]]]:
-    """Grouped twin of :func:`_execute_indexed_chunk_task_traced`."""
-    return [_execute_indexed_chunk_task_traced(payload) for payload in group]
 
 
 class ExecutionService:
@@ -417,60 +374,19 @@ class ExecutionService:
         self, chunks: Iterable[Sequence[SweepRequest]]
     ) -> Iterator[List[SweepOutcome]]:
         """Execute chunks through the backend, yielding outcome lists in
-        chunk order as they complete (consume lazily to stream)."""
-        tracer = get_tracer()
-        if self.backend.remote:
-            group = getattr(self.backend, "group_requests", 0) or 0
-            payloads = (tuple(chunk) for chunk in chunks)
-            if tracer.enabled:
-                if group > 1:
-                    batches = self.backend.imap(
-                        _execute_group_task_traced, _grouped(payloads, group)
-                    )
-                    traced = (r for batch in batches for r in batch)
-                else:
-                    traced = self.backend.imap(_execute_chunk_task_traced, payloads)
-                # Ordered imap: arrival order == submission order, so
-                # enumerate() is the deterministic chunk index.
-                for index, (outcomes, stats, records) in enumerate(traced):
-                    tracer.merge(index, records)
-                    self._absorb(outcomes, stats)
-                    yield outcomes
-                return
-            if group > 1:
-                batches = self.backend.imap(
-                    _execute_group_task, _grouped(payloads, group)
-                )
-                results = (r for batch in batches for r in batch)
-            else:
-                results = self.backend.imap(_execute_chunk_task, payloads)
-            for outcomes, stats in results:
-                self._absorb(outcomes, stats)
-                yield outcomes
-            return
-        for index, chunk in enumerate(chunks):
-            if tracer.enabled:
-                t0 = time.perf_counter_ns()
-                outcomes, stats = _execute_requests(
-                    list(chunk),
-                    shared_store=self.store,
-                    shared_artifacts=self.artifacts,
-                )
-                tracer.record(
-                    "exec.chunk",
-                    t0,
-                    time.perf_counter_ns(),
-                    chunk=index,
-                    requests=len(outcomes),
-                )
-            else:
-                outcomes, stats = _execute_requests(
-                    list(chunk),
-                    shared_store=self.store,
-                    shared_artifacts=self.artifacts,
-                )
-            self._absorb(outcomes, stats)
-            yield outcomes
+        chunk order as they complete (consume lazily to stream).
+
+        The completion-order stream plus a reorder buffer.  A chunk is
+        absorbed into :attr:`metrics` only when it is yielded, so closing
+        a half-consumed sweep counts exactly the chunks it delivered.
+        """
+        pending: Dict[int, _ChunkResult] = {}
+        next_index = 0
+        for result in self._completed(chunks):
+            pending[result[0]] = result
+            while next_index in pending:
+                yield self._land(pending.pop(next_index))[1]
+                next_index += 1
 
     def run_sweeps_unordered(
         self, chunks: Iterable[Sequence[SweepRequest]]
@@ -481,74 +397,14 @@ class ExecutionService:
         aggregation themselves; outcome content is identical to the
         ordered path's, only arrival order is scheduling-dependent.
         """
-        tracer = get_tracer()
-        indexed = ((i, tuple(chunk)) for i, chunk in enumerate(chunks))
-        if self.backend.remote:
-            group = getattr(self.backend, "group_requests", 0) or 0
-            if tracer.enabled:
-                if group > 1:
-                    batches = self.backend.imap_unordered(
-                        _execute_indexed_group_task_traced,
-                        _grouped(indexed, group),
-                    )
-                    traced = (r for batch in batches for r in batch)
-                else:
-                    traced = self.backend.imap_unordered(
-                        _execute_indexed_chunk_task_traced, indexed
-                    )
-                # The chunk index rides inside the payload, so merging
-                # stays deterministic even though arrival order is not.
-                for index, outcomes, stats, records in traced:
-                    tracer.merge(index, records)
-                    self._absorb(outcomes, stats)
-                    yield index, outcomes
-                return
-            if group > 1:
-                batches = self.backend.imap_unordered(
-                    _execute_indexed_group_task, _grouped(indexed, group)
-                )
-                results = (r for batch in batches for r in batch)
-            else:
-                results = self.backend.imap_unordered(
-                    _execute_indexed_chunk_task, indexed
-                )
-            for index, outcomes, stats in results:
-                self._absorb(outcomes, stats)
-                yield index, outcomes
-            return
-        for i, chunk in indexed:
-            if tracer.enabled:
-                t0 = time.perf_counter_ns()
-                outcomes, stats = _execute_requests(
-                    list(chunk),
-                    shared_store=self.store,
-                    shared_artifacts=self.artifacts,
-                )
-                tracer.record(
-                    "exec.chunk",
-                    t0,
-                    time.perf_counter_ns(),
-                    chunk=i,
-                    requests=len(outcomes),
-                )
-            else:
-                outcomes, stats = _execute_requests(
-                    list(chunk),
-                    shared_store=self.store,
-                    shared_artifacts=self.artifacts,
-                )
-            self._absorb(outcomes, stats)
-            yield i, outcomes
+        for result in self._completed(chunks):
+            yield self._land(result)
 
     def run_chunk(self, requests: Sequence[SweepRequest]) -> List[SweepOutcome]:
         """One chunk, synchronously, on the calling process."""
-        outcomes, stats = _execute_requests(
-            list(requests),
-            shared_store=self.store,
-            shared_artifacts=self.artifacts,
-        )
-        self._absorb(outcomes, stats)
-        return outcomes
+        return self._land(
+            _run_chunk(0, requests, False, self.store, self.artifacts)
+        )[1]
 
     # -------------------------------------------------------------- tasks
     def map(self, fn: Callable[[Any], Any], payloads: Iterable[Any]) -> List[Any]:
@@ -561,6 +417,35 @@ class ExecutionService:
         return [fn(p) for p in payloads]
 
     # ----------------------------------------------------------- plumbing
+    def _completed(
+        self, chunks: Iterable[Sequence[SweepRequest]]
+    ) -> Iterator[_ChunkResult]:
+        """Every chunk's :func:`_run_chunk` result, in completion order.
+
+        In process, chunks run lazily one at a time (streaming callers
+        interleave their own work between them) against the service's
+        shared store and artifact cache.  A remote backend receives
+        ``group_requests`` consecutive chunks per task.
+        """
+        traced = get_tracer().enabled
+        indexed = ((i, tuple(chunk)) for i, chunk in enumerate(chunks))
+        if not self.backend.remote:
+            for index, requests in indexed:
+                yield _run_chunk(index, requests, traced, self.store, self.artifacts)
+            return
+        size = getattr(self.backend, "group_requests", 1)
+        task = functools.partial(_run_group, traced=traced)
+        for batch in self.backend.imap_unordered(task, _grouped(indexed, size)):
+            yield from batch
+
+    def _land(self, result: _ChunkResult) -> Tuple[int, List[SweepOutcome]]:
+        """Merge a finished chunk's spans and absorb its metrics."""
+        index, outcomes, stats, spans = result
+        if spans:
+            get_tracer().merge(index, spans)
+        self._absorb(outcomes, stats)
+        return index, outcomes
+
     def _absorb(self, outcomes: List[SweepOutcome], stats: Dict[str, float]) -> None:
         m = self.metrics
         m.chunks += 1

@@ -131,7 +131,7 @@ def _decode_runs(runs: Sequence[Optional[Dict[str, object]]]) -> Tuple[_Neutral,
 
 
 class RunStore:
-    """Two-tier content-keyed store of nvcc-side run outcomes."""
+    """Two-tier content-keyed store of a pair's left-side run outcomes."""
 
     def __init__(
         self,
@@ -195,13 +195,11 @@ class RunStore:
         self.hits += 1
         return tuple(_rebind(e, test_id, opt_label, compiler) for e in entry)
 
-    def view_for(
-        self, test: TestCase, *, consult: bool = True, populate: bool = True
-    ) -> "BoundRunCache":
+    def view_for(self, test: TestCase) -> "BoundRunCache":
         """A runner-compatible view bound to ``test``'s content id."""
         from repro.exec.content import content_id_for
 
-        return BoundRunCache(self, content_id_for(test), consult, populate)
+        return BoundRunCache(self, content_id_for(test))
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -348,26 +346,15 @@ class BoundRunCache:
     content key, rebinding replayed records to the requesting test's id.
     """
 
-    def __init__(
-        self,
-        store: RunStore,
-        key: str,
-        consult: bool = True,
-        populate: bool = True,
-        compiler: str = "nvcc",
-    ) -> None:
+    def __init__(self, store: RunStore, key: str, compiler: str = "nvcc") -> None:
         self.store = store
         self.key = key
-        self.consult = consult
-        self.populate = populate
         self.compiler = compiler
         self.hits = 0
 
     def get(
         self, test_id: str, opt_label: str
     ) -> Optional[Tuple[Optional[RunRecord], ...]]:
-        if not self.consult:
-            return None
         return self.store.get(
             self.key, opt_label, test_id=test_id, compiler=self.compiler
         )
@@ -375,5 +362,4 @@ class BoundRunCache:
     def put(
         self, test_id: str, opt_label: str, outcomes: Sequence[Optional[RunRecord]]
     ) -> None:
-        if self.populate:
-            self.store.put(self.key, opt_label, outcomes)
+        self.store.put(self.key, opt_label, outcomes)

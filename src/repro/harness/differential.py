@@ -6,12 +6,9 @@ Num/Num pair is a discrepancy only when the printed values differ.
 
 A pair is *stack-neutral*: the two sides are the left/right stacks of
 whatever pair the harness is sweeping (nvcc×hipcc, nvcc×cpu, hipcc×cpu,
-…).  The legacy two-stack spellings — ``classify_pair(nvcc_value=...,
-hipcc_value=...)`` keyword aliases, ``Discrepancy.nvcc_printed``-style
-accessors, and the ``nvcc``/``hipcc`` JSON keys — are kept as
-back-compat aliases, and checkpoint payloads for the default
-(nvcc, hipcc) pair serialize byte-identically to the pre-registry
-layout.
+…).  Checkpoint payloads for the default (nvcc, hipcc) pair keep the
+``nvcc``/``hipcc`` JSON keys, so they serialize byte-identically to the
+pre-registry layout.
 """
 
 from __future__ import annotations
@@ -69,28 +66,12 @@ _PAIR_TO_CLASS: Dict[FrozenSet[OutcomeClass], DiscrepancyClass] = {
     frozenset({OutcomeClass.NUMBER}): DiscrepancyClass.NUM_NUM,
 }
 
-_MISSING = object()
 
-
-def classify_pair(
-    lhs_value: float = _MISSING,  # type: ignore[assignment]
-    rhs_value: float = _MISSING,  # type: ignore[assignment]
-    *,
-    nvcc_value: float = _MISSING,  # type: ignore[assignment]
-    hipcc_value: float = _MISSING,  # type: ignore[assignment]
-) -> Optional[DiscrepancyClass]:
+def classify_pair(lhs_value: float, rhs_value: float) -> Optional[DiscrepancyClass]:
     """Discrepancy class of a result pair, or None when equivalent.
 
-    The sides are positionally the pair's left and right stacks; the
-    ``nvcc_value``/``hipcc_value`` keywords are pre-registry aliases for
-    the first and second position.
+    The sides are the pair's left and right stacks.
     """
-    if nvcc_value is not _MISSING:
-        lhs_value = nvcc_value
-    if hipcc_value is not _MISSING:
-        rhs_value = hipcc_value
-    if lhs_value is _MISSING or rhs_value is _MISSING:
-        raise TypeError("classify_pair needs a value for both sides")
     if outcomes_equivalent(lhs_value, rhs_value):
         return None
     a = classify_value(lhs_value)
@@ -104,8 +85,7 @@ class Discrepancy:
 
     Keeps both directional outcomes (needed by the adjacency matrices,
     whose cells count row/column orderings separately).  ``stacks``
-    names the (lhs, rhs) pair; it defaults to the paper's (nvcc, hipcc)
-    so pre-registry construction sites and payloads are unchanged.
+    names the (lhs, rhs) pair; it defaults to the paper's (nvcc, hipcc).
     """
 
     test_id: str
@@ -117,67 +97,6 @@ class Discrepancy:
     lhs_outcome: OutcomeClass
     rhs_outcome: OutcomeClass
     stacks: Tuple[str, str] = field(default=DEFAULT_STACK_PAIR)
-
-    def __init__(
-        self,
-        test_id: str,
-        input_index: int,
-        opt_label: str,
-        dclass: DiscrepancyClass,
-        lhs_printed: str = _MISSING,  # type: ignore[assignment]
-        rhs_printed: str = _MISSING,  # type: ignore[assignment]
-        lhs_outcome: OutcomeClass = _MISSING,  # type: ignore[assignment]
-        rhs_outcome: OutcomeClass = _MISSING,  # type: ignore[assignment]
-        stacks: Tuple[str, str] = DEFAULT_STACK_PAIR,
-        *,
-        nvcc_printed: str = _MISSING,  # type: ignore[assignment]
-        hipcc_printed: str = _MISSING,  # type: ignore[assignment]
-        nvcc_outcome: OutcomeClass = _MISSING,  # type: ignore[assignment]
-        hipcc_outcome: OutcomeClass = _MISSING,  # type: ignore[assignment]
-    ) -> None:
-        # Pre-registry keyword aliases map onto the (lhs, rhs) slots.
-        if nvcc_printed is not _MISSING:
-            lhs_printed = nvcc_printed
-        if hipcc_printed is not _MISSING:
-            rhs_printed = hipcc_printed
-        if nvcc_outcome is not _MISSING:
-            lhs_outcome = nvcc_outcome
-        if hipcc_outcome is not _MISSING:
-            rhs_outcome = hipcc_outcome
-        for name, value in (
-            ("lhs_printed", lhs_printed),
-            ("rhs_printed", rhs_printed),
-            ("lhs_outcome", lhs_outcome),
-            ("rhs_outcome", rhs_outcome),
-        ):
-            if value is _MISSING:
-                raise TypeError(f"Discrepancy missing required field {name!r}")
-        object.__setattr__(self, "test_id", test_id)
-        object.__setattr__(self, "input_index", input_index)
-        object.__setattr__(self, "opt_label", opt_label)
-        object.__setattr__(self, "dclass", dclass)
-        object.__setattr__(self, "lhs_printed", lhs_printed)
-        object.__setattr__(self, "rhs_printed", rhs_printed)
-        object.__setattr__(self, "lhs_outcome", lhs_outcome)
-        object.__setattr__(self, "rhs_outcome", rhs_outcome)
-        object.__setattr__(self, "stacks", tuple(stacks))
-
-    # -- pre-registry accessor aliases ---------------------------------------
-    @property
-    def nvcc_printed(self) -> str:
-        return self.lhs_printed
-
-    @property
-    def hipcc_printed(self) -> str:
-        return self.rhs_printed
-
-    @property
-    def nvcc_outcome(self) -> OutcomeClass:
-        return self.lhs_outcome
-
-    @property
-    def hipcc_outcome(self) -> OutcomeClass:
-        return self.rhs_outcome
 
     @classmethod
     def from_records(

@@ -4,22 +4,19 @@
 work: one test compiled once per compiler (front end shared across the
 optimization settings) and executed at every setting — each setting's
 whole input grid in one :meth:`Device.execute_batch` call.  The
-``lhs_cache`` / ``populate_lhs_cache`` arguments take a cache *view* —
-any object with
+``lhs_cache`` argument takes a cache *view* — any object with
 ``get(test_id, opt_label)``, ``put(test_id, opt_label, outcomes)`` and a
 ``hits`` counter, in practice a content-keyed
-:class:`~repro.exec.store.BoundRunCache` — letting a later request replay
-an earlier one's left-stack run outcomes verbatim: the ``fp64_hipify``
-arm, every fuzz mutant's HIPIFY twin, and every extra stack pair sharing
-the same left stack run the *same* kernels through that compiler, so
-their records are bit-identical and never need re-executing.
+:class:`~repro.exec.store.BoundRunCache` — that is read first and filled
+on a miss, letting a later request replay an earlier one's left-stack
+run outcomes verbatim: the ``fp64_hipify`` arm, every fuzz mutant's
+HIPIFY twin, and every extra stack pair sharing the same left stack run
+the *same* kernels through that compiler, so their records are
+bit-identical and never need re-executing.
 
 The runner is stack-pair generic: ``stacks=("nvcc", "cpu")`` builds the
 left/right compiler and device models from the :mod:`repro.stacks`
-registry.  The default pair is the paper's (nvcc, hipcc), and the
-pre-registry attribute spellings (``runner.nvcc``, ``runner.amd``,
-``runner.nvcc_executions``, …) remain as aliases for the left/right
-slots so existing ablation and analysis code keeps working.
+registry.  The default pair is the paper's (nvcc, hipcc).
 """
 
 from __future__ import annotations
@@ -47,26 +44,14 @@ __all__ = ["DifferentialRunner", "PairResult", "pair_discrepancies"]
 class PairResult:
     """Both stacks' runs for one (test, opt) across all inputs.
 
-    ``stacks`` names the (lhs, rhs) pair the runs came from; the
-    ``nvcc_runs``/``hipcc_runs`` field spellings are the pre-registry
-    names for the left and right slots and are kept because every
-    consumer (exec accounting, campaign folding, oracle relations)
-    reads them — ``lhs_runs``/``rhs_runs`` are the neutral aliases.
+    ``stacks`` names the (lhs, rhs) pair the runs came from.
     """
 
-    nvcc_runs: List[RunRecord]
-    hipcc_runs: List[RunRecord]
+    lhs_runs: List[RunRecord]
+    rhs_runs: List[RunRecord]
     discrepancies: List[Discrepancy]
     skipped_inputs: List[int]
     stacks: Tuple[str, str] = field(default=DEFAULT_STACK_PAIR)
-
-    @property
-    def lhs_runs(self) -> List[RunRecord]:
-        return self.nvcc_runs
-
-    @property
-    def rhs_runs(self) -> List[RunRecord]:
-        return self.hipcc_runs
 
 
 def pair_discrepancies(
@@ -156,10 +141,9 @@ def _execute_batch(device, compiled, rows, *, vectorize: bool, memo=None):
 class DifferentialRunner:
     """Owns one device + compiler per stack and runs tests through both.
 
-    ``stacks`` selects the (lhs, rhs) pair from the registry; the
-    ``nvidia``/``amd`` parameters override the left/right *device*
-    (their names predate the registry — for the default pair they are
-    exactly the simulated V100/MI250X).
+    ``stacks`` selects the (lhs, rhs) pair from the registry;
+    ``lhs_device``/``rhs_device`` override the left/right *device* (for
+    the default pair the registry's are the simulated V100/MI250X).
 
     ``record_flags=True`` attaches the IEEE exception snapshot to each run
     record (slower; used by the analysis examples, not by campaigns).
@@ -171,8 +155,8 @@ class DifferentialRunner:
 
     def __init__(
         self,
-        nvidia: Optional[Device] = None,
-        amd: Optional[Device] = None,
+        lhs_device: Optional[Device] = None,
+        rhs_device: Optional[Device] = None,
         record_flags: bool = False,
         *,
         stacks: Tuple[str, str] = DEFAULT_STACK_PAIR,
@@ -181,8 +165,8 @@ class DifferentialRunner:
         lhs_stack = get_stack(stacks[0])
         rhs_stack = get_stack(stacks[1])
         self.stacks: Tuple[str, str] = (lhs_stack.name, rhs_stack.name)
-        self.lhs_device = nvidia or lhs_stack.device()
-        self.rhs_device = amd or rhs_stack.device()
+        self.lhs_device = lhs_device or lhs_stack.device()
+        self.rhs_device = rhs_device or rhs_stack.device()
         self.lhs_compiler: Compiler = lhs_stack.compiler()
         self.rhs_compiler: Compiler = rhs_stack.compiler()
         self.record_flags = record_flags
@@ -192,55 +176,6 @@ class DifferentialRunner:
         self.vectorize = vectorize
         self.lhs_executions = 0
         self.rhs_executions = 0
-
-    # -- pre-registry attribute aliases (lhs/rhs slots) ---------------------
-    @property
-    def nvidia(self) -> Device:
-        return self.lhs_device
-
-    @nvidia.setter
-    def nvidia(self, device: Device) -> None:
-        self.lhs_device = device
-
-    @property
-    def amd(self) -> Device:
-        return self.rhs_device
-
-    @amd.setter
-    def amd(self, device: Device) -> None:
-        self.rhs_device = device
-
-    @property
-    def nvcc(self) -> Compiler:
-        return self.lhs_compiler
-
-    @nvcc.setter
-    def nvcc(self, compiler: Compiler) -> None:
-        self.lhs_compiler = compiler
-
-    @property
-    def hipcc(self) -> Compiler:
-        return self.rhs_compiler
-
-    @hipcc.setter
-    def hipcc(self, compiler: Compiler) -> None:
-        self.rhs_compiler = compiler
-
-    @property
-    def nvcc_executions(self) -> int:
-        return self.lhs_executions
-
-    @nvcc_executions.setter
-    def nvcc_executions(self, n: int) -> None:
-        self.lhs_executions = n
-
-    @property
-    def hipcc_executions(self) -> int:
-        return self.rhs_executions
-
-    @hipcc_executions.setter
-    def hipcc_executions(self, n: int) -> None:
-        self.rhs_executions = n
 
     # ------------------------------------------------------------------ api
     def compile_pair(
@@ -262,10 +197,7 @@ class DifferentialRunner:
         opts: Sequence[OptSetting],
         *,
         lhs_cache: Optional["BoundRunCache"] = None,
-        populate_lhs_cache: Optional["BoundRunCache"] = None,
         artifacts: Optional["ArtifactCache"] = None,
-        nvcc_cache: Optional["BoundRunCache"] = None,
-        populate_cache: Optional["BoundRunCache"] = None,
     ) -> Dict[str, PairResult]:
         """One test across every optimization setting, keyed by opt label.
 
@@ -277,19 +209,9 @@ class DifferentialRunner:
         re-enters the pass pipeline.  When ``lhs_cache`` (a
         content-keyed store view) holds this test's entry at an opt
         setting, the left side is replayed from the cached outcomes
-        instead of executing; ``populate_lhs_cache`` stores this sweep's
-        left-stack outcomes for a later request to reuse.
-
-        .. deprecated:: PR 9
-           ``nvcc_cache`` / ``populate_cache`` are the pre-registry
-           spellings of ``lhs_cache`` / ``populate_lhs_cache`` (they
-           always cached the *left* stack, whatever it was); they remain
-           as keyword aliases.
+        instead of executing; on a miss the executed left-stack outcomes
+        are stored in it for a later request to reuse.
         """
-        if lhs_cache is None:
-            lhs_cache = nvcc_cache
-        if populate_lhs_cache is None:
-            populate_lhs_cache = populate_cache
         if artifacts is not None:
             lhs_kernels = artifacts.compile_sweep(
                 self.lhs_compiler, test.program, opts
@@ -316,7 +238,6 @@ class DifferentialRunner:
                 lhs_kernels[opt.label],
                 rhs_kernels[opt.label],
                 lhs_cache=lhs_cache,
-                populate_lhs_cache=populate_lhs_cache,
                 lhs_memo=lhs_memo,
                 rhs_memo=rhs_memo,
             )
@@ -344,7 +265,6 @@ class DifferentialRunner:
         ck_rhs: CompiledKernel,
         *,
         lhs_cache: Optional["BoundRunCache"] = None,
-        populate_lhs_cache: Optional["BoundRunCache"] = None,
         lhs_memo=None,
         rhs_memo=None,
     ) -> PairResult:
@@ -374,6 +294,8 @@ class DifferentialRunner:
                 else self._record(test, idx, opt, self.stacks[0], rl)
                 for idx, rl in enumerate(lhs_results)
             ]
+            if lhs_cache is not None:
+                lhs_cache.put(test.test_id, opt.label, lhs_outcomes)
         # A ``None`` outcome means the left side trapped (step budget):
         # the test is dropped on both stacks, like a timed-out job in the
         # real campaign, and the right side is never executed for that
@@ -397,8 +319,6 @@ class DifferentialRunner:
             lhs_runs.append(lhs_outcomes[idx])
             rhs_runs.append(self._record(test, idx, opt, self.stacks[1], rr))
         skipped.sort()
-        if populate_lhs_cache is not None:
-            populate_lhs_cache.put(test.test_id, opt.label, lhs_outcomes)
         return PairResult(
             lhs_runs,
             rhs_runs,

@@ -8,9 +8,10 @@ active tracer is a ``NullTracer`` whose ``span``/``record`` are no-ops,
 so instrumented hot paths pay one attribute lookup
 (``get_tracer().enabled``) when tracing is off.
 
-Determinism contract: pool workers run with their own local tracer,
-``drain()`` its records, and ship them back alongside chunk results;
-the parent calls ``merge(chunk_index, records)``.  Export order is
+Determinism contract: every traced chunk — in a pool worker or in
+process — runs under its own local tracer, ``drain()``s its records, and
+hands them back alongside the chunk's results; the parent calls
+``merge(chunk_index, records)``.  Export order is
 ``(chunk, seq)`` — submission order — never arrival order, so the same
 run traced at any worker count yields the same span sequence (only the
 timestamps differ).
@@ -37,7 +38,7 @@ class SpanRecord:
     ``args`` is a sorted tuple of ``(key, value)`` pairs rather than a
     dict: picklable, hashable, and deterministic in iteration order.
     ``chunk`` is -1 for spans recorded directly in the parent process
-    and the submission-order chunk index for merged worker spans;
+    and the submission-order chunk index for merged chunk spans;
     ``seq`` is the record's position within its origin tracer.
     """
 

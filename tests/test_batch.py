@@ -40,7 +40,6 @@ from repro.exec import (
 )
 from repro.exec.units import RunnerSpec
 from repro.fuzz.engine import FuzzConfig, run_fuzz
-from repro.harness.runner import DifferentialRunner
 from repro.stacks import STACK_NAMES, get_stack
 from repro.varity.config import GeneratorConfig
 from repro.varity.corpus import build_corpus
@@ -348,28 +347,3 @@ class TestLedgerEquality:
         w0 = (tmp_path / "w0.jsonl").read_bytes()
         assert (tmp_path / "w2.jsonl").read_bytes() == w0
         assert (tmp_path / "w4.jsonl").read_bytes() == w0
-
-
-# ------------------------------------------------------- runner rename
-class TestRunSweepRename:
-    def test_legacy_cache_keywords_still_work(self):
-        corpus = build_corpus(
-            GeneratorConfig.fp32(inputs_per_program=2), 1, root_seed=5
-        )
-        test = corpus.tests[0]
-        store = RunStore()
-        from repro.exec.content import content_id, content_text
-        from repro.exec.store import BoundRunCache
-
-        key = content_id(
-            test.fptype, content_text(test.program.kernel, test.inputs)
-        )
-        new = DifferentialRunner()
-        new_view = BoundRunCache(store, key)
-        new.run_sweep(test, OPTS2, populate_lhs_cache=new_view)
-        legacy = DifferentialRunner()
-        legacy_view = BoundRunCache(store, key)
-        pairs = legacy.run_sweep(test, OPTS2, nvcc_cache=legacy_view)
-        assert legacy.lhs_executions == 0  # replayed via the alias
-        assert legacy_view.hits == 2 * len(test.inputs)
-        assert all(p.nvcc_runs for p in pairs.values())

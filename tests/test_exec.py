@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.fp.types import FPType
 from repro.fuzz.engine import FuzzConfig, run_fuzz
 from repro.harness.outcomes import RunRecord
 from repro.harness.runner import DifferentialRunner
+from repro.telemetry.spans import Tracer, set_tracer
 from repro.varity.config import GeneratorConfig
 from repro.varity.corpus import build_corpus
 
@@ -160,18 +162,18 @@ class TestRunStore:
         the fused-arm invariant, now by content instead of test id."""
         test = fp32_corpus.tests[0]
         store = RunStore()
-        DifferentialRunner().run_sweep(test, OPTS2, populate_cache=store.view_for(test))
+        DifferentialRunner().run_sweep(test, OPTS2, lhs_cache=store.view_for(test))
         twin = test.hipified()
         view = store.view_for(twin)
         runner = DifferentialRunner()
-        sweep = runner.run_sweep(twin, OPTS2, nvcc_cache=view)
-        assert runner.nvcc_executions == 0
+        sweep = runner.run_sweep(twin, OPTS2, lhs_cache=view)
+        assert runner.lhs_executions == 0
         assert view.hits == len(OPTS2) * len(test.inputs)
         scratch = DifferentialRunner().run_sweep(twin, OPTS2)
         key = lambda r: (r.test_id, r.input_index, r.opt_label, r.printed)
         for label in sweep:
-            assert list(map(key, sweep[label].nvcc_runs)) == list(
-                map(key, scratch[label].nvcc_runs)
+            assert list(map(key, sweep[label].lhs_runs)) == list(
+                map(key, scratch[label].lhs_runs)
             )
 
 
@@ -408,3 +410,142 @@ class TestFuzzCliWorkers:
         out = capsys.readouterr().out
         assert "Execution service (committed work):" in out
         assert "nvcc cache misses" in out
+
+
+# ------------------------------------------------------ one dispatch path
+class TestOneDispatchPath:
+    """Every backend, group size, trace mode and delivery order runs
+    chunks through the same ``_run_chunk``, so what comes back is the
+    same: outcomes, counters, and each chunk's own span batch."""
+
+    N_CHUNKS = 10  # more than one group of 8
+
+    @pytest.fixture(scope="class")
+    def chunks(self, fp32_corpus):
+        corpus = fp32_corpus.tests
+        tests = [corpus[i % len(corpus)] for i in range(self.N_CHUNKS)]
+        return [
+            [
+                SweepRequest(test=t, opts=OPTS2, tag=("native", i), cache=CHUNK_CACHE),
+                SweepRequest(
+                    test=t.hipified(), opts=OPTS2, tag=("hipify", i), cache=CHUNK_CACHE
+                ),
+            ]
+            for i, t in enumerate(tests)
+        ]
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        backend = ProcessPoolBackend(2)
+        yield backend
+        backend.close()
+
+    @staticmethod
+    def _outcome_keys(outcomes):
+        return [
+            (
+                o.tag, o.test_id, o.deduped, o.nvcc_executions, o.nvcc_cache_hits,
+                o.hipcc_executions,
+                [
+                    (d.test_id, d.input_index, d.opt_label, d.dclass.value)
+                    for d in o.iter_discrepancies()
+                ],
+            )
+            for o in outcomes
+        ]
+
+    def _run(self, backend, chunks, *, traced, ordered):
+        """One sweep: ``(outcomes by chunk index, counters, tracer)``."""
+        service = ExecutionService(backend=backend)
+        tracer = Tracer() if traced else None
+        previous = set_tracer(tracer)
+        try:
+            if ordered:
+                delivered = list(enumerate(service.run_sweeps(chunks)))
+            else:
+                delivered = list(service.run_sweeps_unordered(chunks))
+        finally:
+            set_tracer(previous)
+        by_index = {i: self._outcome_keys(outcomes) for i, outcomes in delivered}
+        assert sorted(by_index) == list(range(len(chunks)))
+        counters = service.stats()
+        counters.pop("phase_seconds")
+        return by_index, counters, tracer
+
+    @staticmethod
+    def _names_by_chunk(tracer):
+        names = {}
+        for rec in tracer.records():
+            if rec.chunk >= 0:
+                names.setdefault(rec.chunk, Counter())[rec.name] += 1
+        return names
+
+    @pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "unordered"])
+    def test_same_results_at_any_backend_group_and_trace(self, chunks, pool, ordered):
+        ref_outcomes, ref_counters, _ = self._run(
+            SerialBackend(), chunks, traced=False, ordered=ordered
+        )
+        _, _, serial_tracer = self._run(
+            SerialBackend(), chunks, traced=True, ordered=ordered
+        )
+        ref_names = self._names_by_chunk(serial_tracer)
+        assert sorted(ref_names) == list(range(len(chunks)))
+        for group in (1, 8):
+            pool.group_requests = group
+            for traced in (False, True):
+                outcomes, counters, tracer = self._run(
+                    pool, chunks, traced=traced, ordered=ordered
+                )
+                assert outcomes == ref_outcomes, (group, traced)
+                assert counters == ref_counters, (group, traced)
+                if not traced:
+                    continue
+                names = self._names_by_chunk(tracer)
+                assert all(n["exec.chunk"] == 1 for n in names.values())
+                # In process and in a worker, a chunk records the same
+                # spans under its own index.
+                assert names == ref_names, group
+                assert not [
+                    r for r in tracer.records()
+                    if r.name.startswith("pool.") and r.chunk >= 0
+                ]
+
+    @pytest.mark.parametrize("remote", [False, True], ids=["serial", "pool"])
+    def test_half_consumed_sweep_leaves_the_service_usable(self, chunks, pool, remote):
+        """The fuzzer abandons speculative windows mid-sweep; the same
+        service must then run the next sweep exactly, counting only the
+        chunks it delivered."""
+        ref, _, _ = self._run(SerialBackend(), chunks, traced=False, ordered=True)
+        pool.group_requests = 8
+        service = ExecutionService(backend=pool if remote else SerialBackend())
+        sweep = service.run_sweeps(chunks)
+        assert self._outcome_keys(next(sweep)) == ref[0]
+        sweep.close()
+        assert service.metrics.chunks == 1
+        again = list(service.run_sweeps(chunks))
+        assert {i: self._outcome_keys(o) for i, o in enumerate(again)} == ref
+        assert service.metrics.chunks == 1 + len(chunks)
+
+    def test_pool_spans_tag_groups_not_chunks(self):
+        """A traced ``--workers 2`` campaign: ``pool.*`` spans carry the
+        payload's group index, never a chunk index (a group of 8 chunks
+        is one payload)."""
+        from repro.harness.campaign import CampaignConfig, run_campaign
+
+        config = CampaignConfig(
+            seed=5, n_programs_fp64=24, n_programs_fp32=16, inputs_per_program=1,
+            workers=2,
+        )
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            run_campaign(config)
+        finally:
+            set_tracer(previous)
+        records = tracer.records()
+        n_chunks = sum(r.name == "exec.chunk" for r in records)
+        assert n_chunks > 8
+        pool_spans = [r for r in records if r.name.startswith("pool.")]
+        assert pool_spans and all(r.chunk == -1 for r in pool_spans)
+        groups = {dict(r.args)["group"] for r in pool_spans}
+        assert groups == set(range(math.ceil(n_chunks / 8)))

@@ -80,7 +80,7 @@ class TestDiscrepancyRecords:
     def test_from_records(self):
         d = Discrepancy.from_records(_record(1.0), _record(2.0, "hipcc"))
         assert d is not None and d.dclass is DiscrepancyClass.NUM_NUM
-        assert d.nvcc_outcome is OutcomeClass.NUMBER
+        assert d.lhs_outcome is OutcomeClass.NUMBER
 
     def test_equivalent_records_give_none(self):
         assert Discrepancy.from_records(_record(1.0), _record(1.0, "hipcc")) is None
@@ -111,17 +111,17 @@ class TestDifferentialRunner:
     def test_run_pair_counts(self, runner, small_fp64_corpus):
         pair = runner.run_pair(small_fp64_corpus.tests[0], O0)
         n = len(small_fp64_corpus.tests[0].inputs)
-        assert len(pair.nvcc_runs) == len(pair.hipcc_runs) == n - len(pair.skipped_inputs)
+        assert len(pair.lhs_runs) == len(pair.rhs_runs) == n - len(pair.skipped_inputs)
 
     def test_records_carry_identity(self, runner, small_fp64_corpus):
         t = small_fp64_corpus.tests[1]
         pair = runner.run_pair(t, O0)
-        for r in pair.nvcc_runs:
+        for r in pair.lhs_runs:
             assert r.test_id == t.test_id and r.compiler == "nvcc" and r.opt_label == "O0"
 
     def test_printed_parses_back(self, runner, small_fp64_corpus):
         pair = runner.run_pair(small_fp64_corpus.tests[2], O0)
-        for r in pair.nvcc_runs + pair.hipcc_runs:
+        for r in pair.lhs_runs + pair.rhs_runs:
             v = float(r.printed)
             assert v == r.value or (math.isnan(v) and math.isnan(r.value))
 
@@ -129,8 +129,8 @@ class TestDifferentialRunner:
         plain = DifferentialRunner()
         rec = DifferentialRunner(record_flags=True)
         t = small_fp64_corpus.tests[0]
-        assert plain.run_pair(t, O0).nvcc_runs[0].flags is None
-        assert rec.run_pair(t, O0).nvcc_runs[0].flags is not None
+        assert plain.run_pair(t, O0).lhs_runs[0].flags is None
+        assert rec.run_pair(t, O0).lhs_runs[0].flags is not None
 
     def test_run_single_traces(self, runner, small_fp64_corpus):
         rn, ra, ck_nv, ck_amd = runner.run_single(small_fp64_corpus.tests[0], O0, 0, trace=True)
@@ -268,7 +268,7 @@ class _TrapAtOpt:
 def _trapping_runner_factory(opt_label: str):
     def factory(*args, **kwargs):
         runner = DifferentialRunner(*args, **kwargs)
-        runner.nvidia = _TrapAtOpt(runner.nvidia, opt_label)
+        runner.lhs_device = _TrapAtOpt(runner.lhs_device, opt_label)
         return runner
 
     return factory
@@ -345,23 +345,23 @@ class TestCampaignEngine:
         test = small_fp64_corpus.tests[0]
         store = ExecRunStore()
         DifferentialRunner().run_sweep(
-            test, PAPER_OPT_SETTINGS, populate_cache=store.view_for(test)
+            test, PAPER_OPT_SETTINGS, lhs_cache=store.view_for(test)
         )
         twin = test.hipified()
         # The twin shares the native test's content id: its view hits.
         via_cache = DifferentialRunner().run_sweep(
-            twin, PAPER_OPT_SETTINGS, nvcc_cache=store.view_for(twin)
+            twin, PAPER_OPT_SETTINGS, lhs_cache=store.view_for(twin)
         )
         from_scratch = DifferentialRunner().run_sweep(twin, PAPER_OPT_SETTINGS)
         # NaN values defeat dataclass equality; the printed %.17g line
         # round-trips every payload bit, so compare records through it.
         rec_key = lambda r: (r.test_id, r.input_index, r.opt_label, r.compiler, r.printed)
         for label, pair in via_cache.items():
-            assert list(map(rec_key, pair.nvcc_runs)) == list(
-                map(rec_key, from_scratch[label].nvcc_runs)
+            assert list(map(rec_key, pair.lhs_runs)) == list(
+                map(rec_key, from_scratch[label].lhs_runs)
             )
-            assert list(map(rec_key, pair.hipcc_runs)) == list(
-                map(rec_key, from_scratch[label].hipcc_runs)
+            assert list(map(rec_key, pair.rhs_runs)) == list(
+                map(rec_key, from_scratch[label].rhs_runs)
             )
             assert pair.skipped_inputs == from_scratch[label].skipped_inputs
 

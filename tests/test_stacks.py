@@ -268,11 +268,6 @@ class TestFuzzStackMatrix:
 # ------------------------------------------------------------ back-compat
 class TestBackCompat:
     def test_classify_pair_keyword_aliases(self):
-        nan = float("nan")
-        assert classify_pair(nvcc_value=1.0, hipcc_value=nan) == classify_pair(
-            1.0, nan
-        )
-        assert classify_pair(nvcc_value=1.0, hipcc_value=1.0) is None
         with pytest.raises(TypeError):
             classify_pair(1.0)  # one side missing
 
@@ -280,12 +275,12 @@ class TestBackCompat:
         legacy = Discrepancy(
             test_id="t", input_index=0, opt_label="O3",
             dclass=DiscrepancyClass.NAN_NUM,
-            nvcc_printed="nan", hipcc_printed="1.5",
-            nvcc_outcome=OutcomeClass.NAN, hipcc_outcome=OutcomeClass.NUMBER,
+            lhs_printed="nan", rhs_printed="1.5",
+            lhs_outcome=OutcomeClass.NAN, rhs_outcome=OutcomeClass.NUMBER,
         )
         assert legacy.stacks == DEFAULT_STACK_PAIR
-        assert legacy.lhs_printed == "nan" == legacy.nvcc_printed
-        assert legacy.rhs_outcome is OutcomeClass.NUMBER is legacy.hipcc_outcome
+        assert legacy.lhs_printed == "nan"
+        assert legacy.rhs_outcome is OutcomeClass.NUMBER
 
     def test_discrepancy_old_payload_deserializes(self):
         """A pre-registry checkpoint payload (nvcc/hipcc keys, no stacks)
@@ -344,9 +339,9 @@ class TestBackCompat:
 
     def test_warm_store_replays_nvcc_lhs_pairs_only(self, tmp_path, fp32_corpus):
         """Content keys are stack-independent and the run store caches
-        the pair's left side under the bare key for nvcc — so a warm
-        pre-registry store serves any nvcc-lhs pair, while a hipcc-lhs
-        pair's qualified key misses it."""
+        the pair's left side under a key qualified by the left stack —
+        so a warm store filled by an nvcc-lhs pair serves any nvcc-lhs
+        pair, while a hipcc-lhs pair's key misses it."""
         test = fp32_corpus.tests[0]
         store_path = tmp_path / "store.jsonl"
         warm = ExecutionService(store=RunStore(path=store_path))

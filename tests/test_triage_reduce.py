@@ -100,10 +100,10 @@ class TestTriage:
             input_index=0,
             opt_label="O0",
             dclass=classify_pair(rn.value, ra.value),
-            nvcc_printed=rn.printed,
-            hipcc_printed=ra.printed,
-            nvcc_outcome=rn.outcome,
-            hipcc_outcome=ra.outcome,
+            lhs_printed=rn.printed,
+            rhs_printed=ra.printed,
+            lhs_outcome=rn.outcome,
+            rhs_outcome=ra.outcome,
         )
         tests_by_id = {test.test_id: test}
         assert triage_tests(runner, tests_by_id, [d], limit=0) == []
