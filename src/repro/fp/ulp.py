@@ -14,31 +14,22 @@ import math
 import numpy as np
 
 from repro.fp.types import FPType
-from repro.fp.bits import float16_to_bits, float32_to_bits, float_to_bits
 
 __all__ = ["ulp_distance", "nextafter_n", "perturb_ulps", "ulp_of"]
 
 
-def _ordered_bits64(value: float) -> int:
-    """Map binary64 to a monotone integer line (two's-complement style)."""
-    bits = float_to_bits(value)
-    if bits & (1 << 63):
-        return (1 << 63) - (bits & ~(1 << 63)) - 1
-    return bits + (1 << 63) - 1
+#: unsigned integer type of each width, for bit-pattern views.
+_UINTS = {16: np.uint16, 32: np.uint32, 64: np.uint64}
 
 
-def _ordered_bits32(value: float) -> int:
-    bits = float32_to_bits(value)
-    if bits & (1 << 31):
-        return (1 << 31) - (bits & ~(1 << 31)) - 1
-    return bits + (1 << 31) - 1
-
-
-def _ordered_bits16(value: float) -> int:
-    bits = float16_to_bits(value)
-    if bits & (1 << 15):
-        return (1 << 15) - (bits & ~(1 << 15)) - 1
-    return bits + (1 << 15) - 1
+def _ordered_bits(value, fptype: FPType) -> int:
+    """Position of ``value`` (narrowed to ``fptype``) on a monotone integer
+    line: the magnitude bits, negated for a set sign bit, so ``+0.0`` and
+    ``-0.0`` share 0 and ±inf are the line's ends."""
+    width = fptype.bits
+    bits = int(fptype.dtype.type(value).view(_UINTS[width]))
+    sign = 1 << (width - 1)
+    return sign - bits if bits & sign else bits
 
 
 def ulp_distance(a: float, b: float, fptype: FPType = FPType.FP64) -> int:
@@ -52,34 +43,29 @@ def ulp_distance(a: float, b: float, fptype: FPType = FPType.FP64) -> int:
     af, bf = float(a), float(b)
     if math.isnan(af) or math.isnan(bf):
         raise ValueError("ulp_distance is undefined for NaN")
-    if fptype is FPType.FP64:
-        return abs(_ordered_bits64(af) - _ordered_bits64(bf))
-    if fptype is FPType.FP32:
-        return abs(_ordered_bits32(np.float32(af)) - _ordered_bits32(np.float32(bf)))
-    if fptype is FPType.FP16:
-        return abs(_ordered_bits16(np.float16(af)) - _ordered_bits16(np.float16(bf)))
-    raise ValueError(f"ulp_distance is not defined for {fptype!r}")
+    return abs(_ordered_bits(af, fptype) - _ordered_bits(bf, fptype))
 
 
 def nextafter_n(value: float, n: int, fptype: FPType = FPType.FP64):
     """Step ``value`` by ``n`` representable values (n may be negative).
 
-    Saturates at ±inf like repeated ``nextafter`` toward ±inf would.
+    Bit for bit what ``n`` repeated ``nextafter`` calls toward ±inf give,
+    in O(1) on the ordered line: saturates at ±inf (and steps back from it
+    to ±max), a zero reached by stepping keeps the side it came from
+    (-0.0 stepping up, +0.0 stepping down), and NaN stays numpy's NaN.
     Returns a numpy scalar of the requested precision.
     """
     dtype = fptype.dtype
     x = dtype.type(value)
     if n == 0:
         return x
-    direction = dtype.type(np.inf if n > 0 else -np.inf)
-    # errstate: stepping off the top finite value overflows to inf, which
-    # is the documented saturation — not a warning-worthy event.
-    with np.errstate(over="ignore"):
-        for _ in range(abs(n)):
-            if np.isinf(x) and (x > 0) == (n > 0):
-                break
-            x = np.nextafter(x, direction, dtype=dtype)
-    return x
+    if x != x:
+        return np.nextafter(x, x)
+    top = _ordered_bits(np.inf, fptype)
+    pos = max(-top, min(top, _ordered_bits(x, fptype) + n))
+    if pos < 0 or (pos == 0 and n > 0):
+        pos = (1 << (fptype.bits - 1)) | -pos
+    return _UINTS[fptype.bits](pos).view(dtype)
 
 
 def perturb_ulps(value: float, n: int, fptype: FPType = FPType.FP64) -> float:

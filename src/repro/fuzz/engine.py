@@ -65,14 +65,16 @@ run totals count campaign runs, not debugging reruns.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.reduce import kernel_size, reduce_testcase
-from repro.analysis.triage import Cause, TriageVerdict, triage_discrepancy
+from repro.analysis.triage import Cause, TriageVerdict, triage_batch
 from repro.codegen.cuda import render_cuda
 from repro.compilers.options import OptSetting, PAPER_OPT_SETTINGS
 from repro.errors import HarnessError, ReproError
@@ -101,7 +103,7 @@ from repro.fuzz.mutators import MUTATION_NAMES, MUTATORS, apply_mutation
 from repro.fuzz.search import MctsSearch, PreparedIteration as _Prep
 from repro.fuzz.signature import DiscrepancySignature, signature_histogram
 from repro.harness.differential import Discrepancy, classify_pair
-from repro.harness.runner import DifferentialRunner
+from repro.harness.runner import DifferentialRunner, PairResult
 from repro.ir.program import Kernel, Program
 from repro.ir.validate import validate_kernel
 from repro.oracle.engine import build_relation_requests, check_relation_outcomes
@@ -463,26 +465,47 @@ def _mutant_content_id(fptype: FPType, content: str) -> str:
     return content_id(fptype, content, prefix="fuzz")
 
 
+class _Found(NamedTuple):
+    """One evaluation discrepancy, its arm, and the arm's O0 pair result
+    (``None`` when the session's opts omit O0), which the triage O0
+    probe reads instead of re-running."""
+
+    arm: str
+    discrepancy: Discrepancy
+    o0: Optional[PairResult]
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_runner(stacks: Tuple[str, str]) -> DifferentialRunner:
+    """The triage/minimization runner for one stack pair, built once per
+    process (runs are pure, so sharing it never changes a result)."""
+    return DifferentialRunner(stacks=stacks)
+
+
 def _triage_verdict_task(
-    payload: Tuple[TestCase, str, int, Tuple[str, str]],
-) -> TriageVerdict:
-    """Triage one discrepancy in a pool worker.
+    payload: Tuple[
+        TestCase, Tuple[str, str], Tuple[Tuple[str, int], ...], Optional[PairResult]
+    ],
+) -> List[TriageVerdict]:
+    """Triage one (mutant, arm) group of discrepancies, in process or in
+    a pool worker.
 
     Runner construction and triage probes are pure functions of the
-    payload (including the discrepancy's stack pair), so a worker's
-    verdict is identical to the serial path's.  The isolation report
-    (execution traces) is stripped before pickling back — nothing
-    downstream of signature construction reads it.
+    payload (including the group's stack pair), so a worker's verdicts
+    are identical to the in-process ones.  The isolation reports
+    (execution traces) are stripped before pickling back — nothing
+    downstream of signature construction reads them.
     """
-    test, opt_label, input_index, stacks = payload
-    verdict = triage_discrepancy(
-        DifferentialRunner(stacks=stacks),
+    test, stacks, targets, o0 = payload
+    verdicts = triage_batch(
+        _pair_runner(stacks),
         test,
-        OptSetting.from_label(opt_label),
-        input_index,
+        [(OptSetting.from_label(label), index) for label, index in targets],
+        o0,
     )
-    verdict.isolation = None
-    return verdict
+    for verdict in verdicts:
+        verdict.isolation = None
+    return verdicts
 
 
 class _Evaluator:
@@ -492,9 +515,6 @@ class _Evaluator:
     def __init__(self, config: FuzzConfig, service: ExecutionService) -> None:
         self.config = config
         self.service = service
-        #: main-process runner for triage and minimization probes only
-        #: (their device runs are bookkept by their own tools, not here).
-        self.runner = DifferentialRunner()
         self.relations: List[Relation] = (
             resolve_relations(config.oracle_relations)
             if config.oracle_relations
@@ -507,9 +527,6 @@ class _Evaluator:
         self._pair_by_arm: Dict[str, Tuple[str, str]] = {
             pair_name(p): p for p in self.pairs if p != DEFAULT_STACK_PAIR
         }
-        self._runners: Dict[Tuple[str, str], DifferentialRunner] = {
-            DEFAULT_STACK_PAIR: self.runner
-        }
         self.pair_runs = 0
         self.cache_hits = 0
         self.executions = 0
@@ -520,12 +537,9 @@ class _Evaluator:
         return self._pair_by_arm.get(arm, DEFAULT_STACK_PAIR)
 
     def runner_for(self, arm: str) -> DifferentialRunner:
-        """A triage/minimization runner on the arm's own stack pair."""
-        pair = self.pair_for_arm(arm)
-        runner = self._runners.get(pair)
-        if runner is None:
-            runner = self._runners[pair] = DifferentialRunner(stacks=pair)
-        return runner
+        """A triage/minimization runner on the arm's own stack pair (its
+        device runs are bookkept by those tools, not by the evaluation)."""
+        return _pair_runner(self.pair_for_arm(arm))
 
     def chunk_for(self, test: TestCase) -> List[SweepRequest]:
         """One evaluation as one chunk: the native sweep, then the HIPIFY
@@ -593,7 +607,7 @@ class _Evaluator:
 
     def absorb(
         self, outcomes: Sequence[SweepOutcome]
-    ) -> Tuple[List[Tuple[str, Discrepancy]], List[RelationViolation]]:
+    ) -> Tuple[List[_Found], List[RelationViolation]]:
         """Count one committed evaluation; collect its discrepancies and
         its oracle-relation violations.
 
@@ -601,7 +615,7 @@ class _Evaluator:
         request) carry rebound copies of already-counted runs, so only
         non-deduped outcomes contribute to the accounting.
         """
-        found: List[Tuple[str, Discrepancy]] = []
+        found: List[_Found] = []
         oracle_outcomes: List[SweepOutcome] = []
         for outcome in outcomes:
             if not outcome.deduped:
@@ -612,8 +626,9 @@ class _Evaluator:
             if arm == "oracle":
                 oracle_outcomes.append(outcome)
                 continue
+            o0 = outcome.pairs.get("O0")
             for pair in outcome.pairs.values():
-                found.extend((arm, d) for d in pair.discrepancies)
+                found.extend(_Found(arm, d, o0) for d in pair.discrepancies)
         # The chunk's first outcome is the native sweep, whose test_id is
         # the evaluated program's own id — violations normalize to it.
         canonical = outcomes[0].test_id if outcomes else None
@@ -665,7 +680,7 @@ class _Evaluator:
         return out
 
     def signatures_for(
-        self, test: TestCase, found: Sequence[Tuple[str, Discrepancy]]
+        self, test: TestCase, found: Sequence[_Found]
     ) -> List[Tuple[str, Discrepancy, DiscrepancySignature]]:
         """Triage every discrepancy; keep the first of each signature.
 
@@ -673,12 +688,12 @@ class _Evaluator:
         outcome pair can implicate different functions or even different
         causes — so dedup happens *after* attribution, on the signature
         itself, never by collapsing discrepancies up front.  With a pool
-        backend the independent triage probes fan out to workers;
-        verdicts come back in order, so the dedup is unchanged.
+        backend each arm's triage group fans out to a worker; verdicts
+        come back in order, so the dedup is unchanged.
         """
         out: List[Tuple[str, Discrepancy, DiscrepancySignature]] = []
         local_seen: Set[str] = set()
-        for (arm, d), verdict in zip(found, self._verdicts(test, found)):
+        for (arm, d, _), verdict in zip(found, self._verdicts(test, found)):
             sig = DiscrepancySignature.from_verdict(verdict, d, test.fptype)
             if sig.key not in local_seen:
                 local_seen.add(sig.key)
@@ -686,29 +701,30 @@ class _Evaluator:
         return out
 
     def _verdicts(
-        self, test: TestCase, found: Sequence[Tuple[str, Discrepancy]]
+        self, test: TestCase, found: Sequence[_Found]
     ) -> List[TriageVerdict]:
-        targets = [
-            (test.hipified() if arm == "hipify" else test, arm, d)
-            for arm, d in found
-        ]
-        if self.service.backend.remote and len(found) > 1:
-            return self.service.map(
-                _triage_verdict_task,
-                [
-                    (t, d.opt_label, d.input_index, self.pair_for_arm(arm))
-                    for t, arm, d in targets
-                ],
+        """One triage batch per arm (the arm's discrepancies share their
+        probes); verdicts in ``found`` order, which lists each arm's
+        discrepancies together."""
+        payloads = []
+        for arm, group in itertools.groupby(found, key=lambda f: f.arm):
+            entries = list(group)
+            payloads.append(
+                (
+                    test.hipified() if arm == "hipify" else test,
+                    self.pair_for_arm(arm),
+                    tuple(
+                        (f.discrepancy.opt_label, f.discrepancy.input_index)
+                        for f in entries
+                    ),
+                    entries[0].o0,
+                )
             )
-        return [
-            triage_discrepancy(
-                self.runner_for(arm),
-                t,
-                OptSetting.from_label(d.opt_label),
-                d.input_index,
-            )
-            for t, arm, d in targets
-        ]
+        if self.service.backend.remote and len(payloads) > 1:
+            batches = self.service.map(_triage_verdict_task, payloads)
+        else:
+            batches = [_triage_verdict_task(payload) for payload in payloads]
+        return [verdict for batch in batches for verdict in batch]
 
 
 class _LazyCorpus:
@@ -1158,7 +1174,7 @@ def run_fuzz(
 
         def commit_mcts(
             p: _Prep,
-            found: List[Tuple[str, Discrepancy]],
+            found: List[_Found],
             violations: List[RelationViolation],
         ) -> bool:
             """The mcts commit: counters and findings exactly as the
@@ -1212,7 +1228,7 @@ def run_fuzz(
 
         def commit_iteration(
             p: _Prep,
-            found: List[Tuple[str, Discrepancy]],
+            found: List[_Found],
             violations: List[RelationViolation],
         ) -> bool:
             """Apply one iteration's results in order; True when it
@@ -1315,7 +1331,7 @@ def run_fuzz(
                         ]
                     )
                 for p in preps:
-                    found: List[Tuple[str, Discrepancy]] = []
+                    found: List[_Found] = []
                     violations: List[RelationViolation] = []
                     if p.test is not None:
                         span_mcts = search is not None and loop_tracer.enabled

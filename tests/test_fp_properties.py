@@ -10,6 +10,7 @@ precisions:
 * ULP distance: symmetry, identity-of-indiscernibles (with ±0
   coinciding), adjacency (= 1 between neighbours), and the triangle
   inequality that makes it a metric on the ordered-bits line;
+* ``nextafter_n`` equals the one-ULP-at-a-time loop bit for bit;
 * literal parse/format round trips at full precision per format.
 """
 
@@ -173,6 +174,97 @@ class TestUlpDistanceMetric:
             a = math.nan
         with pytest.raises(ValueError):
             ulp_distance(a, 1.0)
+
+
+_UINTS = {FPType.FP16: np.uint16, FPType.FP32: np.uint32, FPType.FP64: np.uint64}
+
+
+def _nextafter_loop(value, n, fptype):
+    """The reference form: ``n`` single ``np.nextafter`` steps toward ±inf,
+    stopping once ±inf is reached in the walk's direction."""
+    dtype = fptype.dtype
+    x = dtype.type(value)
+    if n == 0:
+        return x
+    direction = dtype.type(np.inf if n > 0 else -np.inf)
+    with np.errstate(over="ignore"):
+        for _ in range(abs(n)):
+            if np.isinf(x) and (x > 0) == (n > 0):
+                break
+            x = np.nextafter(x, direction, dtype=dtype)
+    return x
+
+
+def _edges(fptype):
+    """±0, ±smallest subnormal, ±smallest normal, ±max, ±inf, ±NaN."""
+    out = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
+    for v in (fptype.smallest_subnormal, fptype.smallest_normal, fptype.max, 1.0):
+        out += [v, -v]
+    return out
+
+
+def _any_value_in(fptype: FPType):
+    """Every bit pattern of the format (finite, subnormal, ±0, ±inf,
+    NaNs), plus the named edges."""
+    width = fptype.bits
+    patterns = st.integers(min_value=0, max_value=2**width - 1).map(
+        lambda bits: _UINTS[fptype](bits).view(fptype.dtype)
+    )
+    return st.one_of(patterns, st.sampled_from(_edges(fptype)))
+
+
+def _same_bits(a, b, fptype) -> bool:
+    return type(a) is type(b) and a.view(_UINTS[fptype]) == b.view(_UINTS[fptype])
+
+
+class TestNextafterMatchesLoop:
+    """The O(1) ordered-bits ``nextafter_n`` against the loop it replaced."""
+
+    @pytest.mark.parametrize("fptype", _FPTYPES)
+    @given(data=st.data(), n=st.integers(min_value=-2000, max_value=2000))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_loop(self, fptype, data, n):
+        value = data.draw(_any_value_in(fptype))
+        with np.errstate(over="ignore"):
+            expected = _nextafter_loop(value, n, fptype)
+            got = nextafter_n(value, n, fptype)
+        assert _same_bits(got, expected, fptype), (value, n, got, expected)
+
+    @pytest.mark.parametrize("fptype", _FPTYPES)
+    def test_edges_and_small_steps(self, fptype):
+        with np.errstate(over="ignore"):
+            for value in _edges(fptype):
+                for n in (-3, -2, -1, 0, 1, 2, 3, 1000, -1000):
+                    assert _same_bits(
+                        nextafter_n(value, n, fptype),
+                        _nextafter_loop(value, n, fptype),
+                        fptype,
+                    ), (value, n)
+
+    @pytest.mark.parametrize("fptype", _FPTYPES)
+    def test_zero_reached_by_stepping_keeps_its_side(self, fptype):
+        tiny = fptype.smallest_subnormal
+        up = nextafter_n(-tiny, 1, fptype)
+        down = nextafter_n(tiny, -1, fptype)
+        assert up == 0 and math.copysign(1.0, float(up)) == -1.0
+        assert down == 0 and math.copysign(1.0, float(down)) == 1.0
+        # Through zero: -tiny + 2 steps lands on +tiny, and back again.
+        assert float(nextafter_n(-tiny, 2, fptype)) == tiny
+        assert float(nextafter_n(tiny, -2, fptype)) == -tiny
+        # n == 0 returns the value itself, sign included.
+        assert math.copysign(1.0, float(nextafter_n(-0.0, 0, fptype))) == -1.0
+
+    @pytest.mark.parametrize("fptype", _FPTYPES)
+    def test_saturation_at_inf(self, fptype):
+        top = fptype.max
+        with np.errstate(over="ignore"):
+            assert nextafter_n(top, 1, fptype) == np.inf
+            assert nextafter_n(top, 10**9, fptype) == np.inf
+            assert nextafter_n(-top, -(10**9), fptype) == -np.inf
+        assert nextafter_n(math.inf, 5, fptype) == np.inf
+        assert float(nextafter_n(math.inf, -1, fptype)) == top
+        assert float(nextafter_n(-math.inf, 1, fptype)) == -top
+        assert math.isnan(nextafter_n(math.nan, 3, fptype))
 
 
 # --------------------------------------------------------------- literals

@@ -41,6 +41,43 @@ def fuzz_corpus():
     return build_corpus(cfg, 20, root_seed=77)
 
 
+class TestGroupedTriage:
+    def test_pool_ledger_matches_serial_with_multi_discrepancy_groups(
+        self, tmp_path, monkeypatch
+    ):
+        """With a pool backend each (mutant, arm) group of discrepancies
+        is one triage task; the ledger stays byte-identical to serial.
+        The spy proves some task carried a group of two or more, so the
+        comparison cannot pass vacuously."""
+        from repro.exec.service import ExecutionService
+
+        config = FuzzConfig(
+            seed=11,
+            n_seed_programs=10,
+            inputs_per_program=2,
+            max_mutants=12,
+            batch_size=6,
+            minimize=False,
+        )
+        run_fuzz(config, ledger=tmp_path / "serial.jsonl")
+        groups = []
+        original = ExecutionService.map
+
+        def spy(self, fn, payloads):
+            payloads = list(payloads)
+            groups.extend(len(targets) for _, _, targets, _ in payloads)
+            return original(self, fn, payloads)
+
+        monkeypatch.setattr(ExecutionService, "map", spy)
+        run_fuzz(
+            dataclasses.replace(config, workers=2), ledger=tmp_path / "pooled.jsonl"
+        )
+        assert groups and max(groups) >= 2
+        assert (tmp_path / "pooled.jsonl").read_bytes() == (
+            tmp_path / "serial.jsonl"
+        ).read_bytes()
+
+
 class TestMutators:
     def test_registry_has_all_seven_classes(self):
         assert set(MUTATION_NAMES) == {

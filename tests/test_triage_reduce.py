@@ -4,16 +4,23 @@ These implement the paper's §VII future work, so the tests pin down the
 behaviour on the paper's own case studies: Fig. 4 must triage to
 ``math-library via fmod`` and reduce to a kernel that still contains the
 divergent ``fmod``; Fig. 5 to ``ceil``; the engineered Case-Study-3 kernel
-to ``optimization-induced`` with the contraction pass implicated.
+to ``optimization-induced`` with the contraction pass implicated.  The
+batched probe path must give the verdicts of one scalar probe per
+discrepancy (``_scalar_verdict``, the reference).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis.ablation import AblationSpec, build_ablated_runner
+from repro.analysis.case_studies import isolate_divergence
 from repro.analysis.reduce import kernel_size, reduce_testcase
 from repro.analysis.triage import (
     Cause,
+    _functions_near_divergence,
+    probe_discrepancies,
+    triage_batch,
     triage_discrepancy,
     triage_table,
     triage_tests,
@@ -23,8 +30,11 @@ from repro.apps.paper_kernels import (
     fig4_testcase,
     fig5_testcase,
 )
-from repro.compilers.options import OptLevel, OptSetting
+from repro.compilers.options import PAPER_OPT_SETTINGS, OptLevel, OptSetting
+from repro.fp.classify import outcomes_equivalent
+from repro.fp.types import FPType
 from repro.harness.differential import classify_pair
+from repro.harness.runner import DifferentialRunner
 from repro.ir.nodes import Call
 from repro.ir.visitor import collect
 
@@ -123,6 +133,184 @@ class TestTriage:
         by_cause = {row[0]: row[2] for row in rows}
         assert by_cause[Cause.MATH_LIBRARY] == "fmod×2"
         assert by_cause[Cause.FAST_MATH_LIBRARY] == "fmod×1"
+
+
+def _scalar_verdict(runner, test, opt, index):
+    """Reference triage: one scalar ``run_single`` per probe, on the
+    runner and on freshly built equalized runners, in the probe order
+    of the per-discrepancy algorithm.  Returns (cause, functions,
+    passes)."""
+    def agree(probe_runner, probe_opt):
+        lhs, rhs, _, _ = probe_runner.run_single(test, probe_opt, index)
+        return outcomes_equivalent(lhs.value, rhs.value)
+
+    lib = build_ablated_runner(AblationSpec("mathlib", "", same_mathlib=True))
+    ftz = build_ablated_runner(AblationSpec("ftz", "", same_ftz=True))
+    fast_math = opt.fast_math and test.fptype is FPType.FP32
+    report = isolate_divergence(runner, test, opt, index)
+    functions = ()
+    if opt.label != "O0" and agree(runner, O0):
+        cause = Cause.FTZ if fast_math and agree(ftz, opt) else Cause.OPTIMIZATION
+    elif agree(lib, opt):
+        cause = Cause.FAST_MATH_LIBRARY if fast_math else Cause.MATH_LIBRARY
+        functions = _functions_near_divergence(test, report)
+    elif fast_math and agree(ftz, opt):
+        cause = Cause.FTZ
+    else:
+        cause = Cause.UNKNOWN
+    return cause, functions, report.nvcc_passes, report.hipcc_passes
+
+
+def _summary(verdict):
+    return verdict.cause, verdict.functions, verdict.nvcc_passes, verdict.hipcc_passes
+
+
+def _batched_vs_scalar(runner, tests, opts=PAPER_OPT_SETTINGS):
+    """Sweep each test like an evaluation does, triage its discrepancies
+    as one batch (O0 read from the sweep when ``opts`` has it), and
+    compare every verdict with the scalar reference.  Returns the
+    (opt label, cause) of every compared discrepancy."""
+    seen = []
+    for test in tests:
+        pairs = runner.run_sweep(test, opts)
+        targets = [
+            (opt, d.input_index) for opt in opts for d in pairs[opt.label].discrepancies
+        ]
+        if not targets:
+            continue
+        batched = triage_batch(runner, test, targets, pairs.get("O0"))
+        for (opt, index), verdict in zip(targets, batched):
+            assert (verdict.opt_label, verdict.input_index) == (opt.label, index)
+            assert _summary(verdict) == _scalar_verdict(runner, test, opt, index), (
+                test.test_id, opt.label, index,
+            )
+            seen.append((opt.label, verdict.cause))
+    return seen
+
+
+class TestBatchedTriage:
+    """The batched probes give the scalar per-discrepancy verdicts."""
+
+    def test_paper_kernels(self, runner):
+        for test, opt in (
+            (fig4_testcase(), O0),
+            (fig5_testcase(), O0),
+            (case3_engineered_testcase(), O1),
+        ):
+            (verdict,) = triage_batch(runner, test, [(opt, 0)])
+            assert _summary(verdict) == _scalar_verdict(runner, test, opt, 0)
+        seen = _batched_vs_scalar(
+            runner, [fig4_testcase(), fig5_testcase(), case3_engineered_testcase()]
+        )
+        assert seen
+
+    def test_fp32_campaign_discrepancies(self, runner, small_fp32_corpus):
+        """Covers O3_FM discrepancies, where the FTZ and fast-math
+        library branches live, and multi-discrepancy batches."""
+        seen = _batched_vs_scalar(runner, small_fp32_corpus)
+        causes = {cause for _, cause in seen}
+        assert any(label == "O3_FM" for label, _ in seen)
+        assert {
+            Cause.FTZ, Cause.FAST_MATH_LIBRARY, Cause.OPTIMIZATION, Cause.MATH_LIBRARY,
+        } <= causes
+
+    def test_fp32_campaign_through_triage_tests(self, runner):
+        """``triage_tests`` groups a campaign arm's discrepancies per test
+        (no O0 result at hand, so each group takes one O0 sweep) and
+        keeps their order."""
+        from repro.harness.campaign import CampaignConfig, run_campaign
+        from repro.varity.corpus import build_corpus
+
+        config = CampaignConfig(
+            seed=31, n_programs_fp64=2, n_programs_fp32=20, inputs_per_program=3,
+            include_hipify=False,
+        )
+        discrepancies = run_campaign(config).arms["fp32"].discrepancies
+        corpus = build_corpus(
+            config.generator_config(config.arm_fptype("fp32")),
+            config.n_programs_fp32,
+            config.arm_seed("fp32"),
+        )
+        tests_by_id = {t.test_id: t for t in corpus}
+        verdicts = triage_tests(runner, tests_by_id, discrepancies)
+        assert len(verdicts) == len(discrepancies)
+        assert any(d.opt_label == "O3_FM" for d in discrepancies)
+        assert len({d.test_id for d in discrepancies}) < len(discrepancies)
+        for d, verdict in zip(discrepancies, verdicts):
+            assert (verdict.test_id, verdict.opt_label, verdict.input_index) == (
+                d.test_id, d.opt_label, d.input_index,
+            )
+            opt = OptSetting.from_label(d.opt_label)
+            test = tests_by_id[d.test_id]
+            assert _summary(verdict) == _scalar_verdict(runner, test, opt, d.input_index)
+
+    def test_hipify_arm(self, runner, small_fp32_corpus):
+        seen = _batched_vs_scalar(runner, [t.hipified() for t in small_fp32_corpus])
+        assert seen
+
+    def test_opts_without_o0_take_the_fallback_sweep(self, runner, small_fp32_corpus):
+        opts = tuple(o for o in PAPER_OPT_SETTINGS if o.label != "O0")
+        seen = _batched_vs_scalar(runner, small_fp32_corpus, opts)
+        assert seen and all(label != "O0" for label, _ in seen)
+
+    def test_trapped_row_rerun_through_scalar_probe(self, runner, monkeypatch):
+        """A row the batch reports as skipped (trapped) is answered by the
+        scalar probe, never read as agreement."""
+        from repro.harness.runner import PairResult
+
+        test = case3_engineered_testcase()
+        skipped_o0 = PairResult([], [], [], skipped_inputs=[0])
+        calls = []
+        original = DifferentialRunner.run_single
+
+        def spy(self, test, opt, index, **kwargs):
+            calls.append((opt.label, index))
+            return original(self, test, opt, index, **kwargs)
+
+        monkeypatch.setattr(DifferentialRunner, "run_single", spy)
+        probes = probe_discrepancies(runner, test, [(O1, 0)], skipped_o0)
+        assert calls == [("O0", 0)]
+        lhs, rhs, _, _ = original(runner, test, O0, 0)
+        assert probes.agree[("O0", "O0", 0)] == outcomes_equivalent(lhs.value, rhs.value)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ablation probes always build the nvcc/hipcc (V100/MI250X) pair",
+    )
+    def test_nvcc_cpu_triage_stays_on_its_own_pair(self, small_fp32_corpus, monkeypatch):
+        """Triaging an nvcc-cpu discrepancy builds no hipcc compiler and no
+        AMD device: every probe must run on the pair that diverged."""
+        from repro.analysis import triage
+        from repro.compilers.hipcc import HipccCompiler
+        from repro.devices.device import Device
+        from repro.devices.vendor import Vendor
+
+        runner = DifferentialRunner(stacks=("nvcc", "cpu"))
+        found = None
+        for test in small_fp32_corpus:
+            pair = runner.run_sweep(test, [O0])["O0"]
+            if pair.discrepancies:
+                found = (test, pair.discrepancies[0].input_index)
+                break
+        assert found is not None, "no nvcc-cpu discrepancy at this scale"
+        built = []
+        original_init = Device.__init__
+
+        def record_device(self, spec, *args, **kwargs):
+            built.append(spec.vendor)
+            original_init(self, spec, *args, **kwargs)
+
+        def record_hipcc(cls, *args, **kwargs):
+            built.append(cls.__name__)
+            return object.__new__(cls)
+
+        monkeypatch.setattr(Device, "__init__", record_device)
+        monkeypatch.setattr(HipccCompiler, "__new__", record_hipcc)
+        monkeypatch.setattr(triage, "_probe_runner", triage._probe_runner.__wrapped__)
+        test, index = found
+        triage_discrepancy(runner, test, O0, index)
+        assert Vendor.AMD not in built
+        assert not [b for b in built if isinstance(b, str)]
 
 
 class TestReduction:
